@@ -6,7 +6,11 @@
 // the simulated window for smoke runs.
 #pragma once
 
+#include <cstdlib>
+#include <fstream>
 #include <iostream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "common/table.hpp"
@@ -73,6 +77,30 @@ inline void emit(const TextTable& table, const Options& opt,
 
 inline void banner(const std::string& title) {
   std::cout << "\n== " << title << " ==\n\n";
+}
+
+/// Minimal extraction of `"key": <number>` from a JSON file; the baseline
+/// file is flat and committed, so a full parser would be dead weight.
+inline double json_number(const std::string& path, const std::string& key) {
+  std::ifstream in{path};
+  if (!in) {
+    throw std::runtime_error{"cannot open baseline file " + path};
+  }
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string text = buf.str();
+  const std::string quoted = "\"" + key + "\"";
+  const auto at = text.find(quoted);
+  if (at == std::string::npos) {
+    throw std::runtime_error{"baseline file " + path + " has no key " +
+                             quoted};
+  }
+  const auto colon = text.find(':', at);
+  if (colon == std::string::npos) {
+    throw std::runtime_error{"baseline file " + path + ": malformed " +
+                             quoted};
+  }
+  return std::strtod(text.c_str() + colon + 1, nullptr);
 }
 
 }  // namespace nvmenc::bench

@@ -25,13 +25,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/read_sae.hpp"
@@ -120,30 +119,6 @@ Measurement measure(usize writes, usize reps) {
   return {best.scalar_ns / n, best.vector_ns / n};
 }
 
-/// Minimal extraction of `"key": <number>` from a JSON file; the baseline
-/// file is flat and committed, so a full parser would be dead weight.
-double json_number(const std::string& path, const std::string& key) {
-  std::ifstream in{path};
-  if (!in) {
-    throw std::runtime_error{"cannot open baseline file " + path};
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const std::string quoted = "\"" + key + "\"";
-  const auto at = text.find(quoted);
-  if (at == std::string::npos) {
-    throw std::runtime_error{"baseline file " + path + " has no key " +
-                             quoted};
-  }
-  const auto colon = text.find(':', at);
-  if (colon == std::string::npos) {
-    throw std::runtime_error{"baseline file " + path + ": malformed " +
-                             quoted};
-  }
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 int run_gate(int argc, char** argv) {
   std::string baseline_path = "results/PERF_GATE_encoder.json";
   usize writes = 50'000;
@@ -186,7 +161,7 @@ int run_gate(int argc, char** argv) {
     return 0;
   }
 
-  const double baseline = json_number(baseline_path, "baseline_ratio");
+  const double baseline = bench::json_number(baseline_path, "baseline_ratio");
   const double headroom = 0.05;
   const double limit = baseline * (1.0 + headroom);
   const bool pass = ratio <= limit;

@@ -4,10 +4,26 @@
 Usage:
     for b in build/bench/*; do [ -x "$b" ] && "$b" --csv=results; done
     python3 scripts/summarize_results.py results > results/REPORT.md
+
+    # Refresh, in place, only what the CSVs present in `results` cover:
+    python3 scripts/summarize_results.py results --update \\
+        results/REPORT.md EXPERIMENTS.md
+
+With --update, every `## <title>` table of a known section whose CSV
+exists is regenerated, and every finding block
+
+    <!-- summarize:<stem> -->
+    ...
+    <!-- /summarize:<stem> -->
+
+is rewritten from its CSV by the matching FINDINGS renderer. Everything
+else in the file is left as it is.
 """
 import csv
 import pathlib
+import re
 import sys
+import textwrap
 
 # Figure order and the one-line context shown above each table.
 SECTIONS = [
@@ -36,24 +52,97 @@ SECTIONS = [
 ]
 
 
-def emit_table(path: pathlib.Path) -> None:
+def read_rows(path: pathlib.Path) -> list:
     with path.open(newline="") as handle:
-        rows = list(csv.reader(handle))
+        return list(csv.reader(handle))
+
+
+def table_lines(rows: list) -> list:
     if not rows:
-        return
+        return []
     header, *body = rows
-    print("| " + " | ".join(header) + " |")
-    print("|" + "|".join("---" for _ in header) + "|")
-    for row in body:
-        print("| " + " | ".join(row) + " |")
-    print()
+    lines = ["| " + " | ".join(header) + " |",
+             "|" + "|".join("---" for _ in header) + "|"]
+    lines += ["| " + " | ".join(row) + " |" for row in body]
+    return lines
+
+
+def emit_table(path: pathlib.Path) -> None:
+    lines = table_lines(read_rows(path))
+    if lines:
+        print("\n".join(lines) + "\n")
+
+
+def number(cell: str) -> float:
+    """'+0.52%' -> 0.52, '187.2ns' -> 187.2, '9.79ms' -> 9.79."""
+    return float(re.sub(r"[^0-9.eE+-]", "", cell))
+
+
+def perf_overhead_finding(rows: list) -> str:
+    header, *body = rows
+    col = {name: i for i, name in enumerate(header)}
+
+    def values(name: str) -> list:
+        return [number(row[col[name]]) for row in body]
+
+    def span(name: str, fmt: str) -> str:
+        lo, hi = fmt.format(min(values(name))), fmt.format(max(values(name)))
+        return lo if lo == hi else f"{lo}–{hi}"
+
+    eager, sched = values("read lat (3.47ns)"), values("read lat (sched)")
+    direction = "lowers" if max(sched) < min(eager) else "changes"
+    verdict = ("The paper's Section 3.4.2 claim is confirmed."
+               if max(values("+3.47ns")) < 1.0 else
+               "The paper's Section 3.4.2 claim does NOT hold here.")
+    return textwrap.fill(
+        "**Performance overhead** (`bench/perf_overhead`): each "
+        "benchmark's request stream is replayed closed-loop through the "
+        "memory system (`replay_closed_loop`: one request in flight, 20 ns "
+        "CPU gap, 8 banks, 4 KB rows, Table 2 array timings, 64-entry "
+        "write queue). The paper's 3.47 ns encode latency costs "
+        f"+{span('+3.47ns', '{:.2f}')} % execution time (read latency "
+        f"{span('read lat (3.47ns)', '{:.1f}')} ns at "
+        f"{span('row hit', '{:.3f}')} row-hit rate); even an exaggerated "
+        f"50 ns encoder costs at most +{max(values('+50ns')):.2f} %. "
+        "Draining writes only at the high watermark (the sched column) "
+        f"{direction} the mean read latency to "
+        f"{span('read lat (sched)', '{:.1f}')} ns. " + verdict, width=72)
+
+
+# Prose findings regenerated inside <!-- summarize:<stem> --> blocks.
+FINDINGS = {"perf_overhead": perf_overhead_finding}
+
+
+def update(results: pathlib.Path, target: pathlib.Path) -> None:
+    text = target.read_text()
+    for stem, title in SECTIONS:
+        path = results / f"{stem}.csv"
+        if not path.exists():
+            continue
+        table = "\n".join(table_lines(read_rows(path)))
+        heading = re.escape(f"## {title}")
+        text = re.sub(rf"({heading}\n\n)(?:\|[^\n]*\n)+",
+                      lambda m: m.group(1) + table + "\n", text)
+    for stem, render in FINDINGS.items():
+        path = results / f"{stem}.csv"
+        if not path.exists():
+            continue
+        body = render(read_rows(path))
+        text = re.sub(rf"(<!-- summarize:{stem} -->\n).*?(\n<!-- /summarize:{stem} -->)",
+                      lambda m: m.group(1) + body + m.group(2), text,
+                      flags=re.S)
+    target.write_text(text)
 
 
 def main() -> int:
-    if len(sys.argv) != 2:
+    if len(sys.argv) < 2 or (len(sys.argv) > 2 and sys.argv[2] != "--update"):
         print(__doc__, file=sys.stderr)
         return 2
     results = pathlib.Path(sys.argv[1])
+    if len(sys.argv) > 2:
+        for target in sys.argv[3:]:
+            update(results, pathlib.Path(target))
+        return 0
     print("# nvmenc — collected results\n")
     print("Regenerate with: `for b in build/bench/*; do [ -x \"$b\" ] && "
           "\"$b\" --csv=results; done`\n")

@@ -1,6 +1,7 @@
 #include "memsys/trace_replay.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/table.hpp"
@@ -219,6 +220,29 @@ TraceReplayResult replay_trace_sharded(std::span<const MemAccess> trace,
   return replay_sharded_impl(
       trace, capped_count(trace.size(), replay.max_accesses), replay, mem,
       jobs);
+}
+
+TraceReplayResult replay_closed_loop(std::span<const MemAccess> stream,
+                                     const MemSysConfig& mem) {
+  MemorySystem sys{mem};
+  double now = 0.0;
+  for (const MemAccess& a : stream) {
+    now += kClosedLoopGapNs;
+    (void)sys.submit(a.line_addr(),
+                     a.op == Op::kRead ? ReqKind::kRead : ReqKind::kWrite,
+                     now);
+    // One request in flight: the next completion is this request's.
+    now = sys.step_until(std::numeric_limits<double>::infinity())
+              .value()
+              .time_ns;
+  }
+  TraceReplayResult result;
+  result.makespan_ns = sys.drain_all();
+  result.stats = sys.stats();
+  result.timing = sys.timing_stats();
+  result.ras = sys.ras_report();
+  result.accesses = stream.size();
+  return result;
 }
 
 std::vector<ReplaySweepCell> replay_sweep(

@@ -27,6 +27,12 @@
 //     --jobs value, and the tier-1 tests compare the two engines' rendered
 //     tables byte for byte.
 //
+// replay_closed_loop is the third discipline: the CPU model of the
+// paper's §3.4.2 performance argument. Each access arrives a fixed
+// kClosedLoopGapNs after the previous one completes; a read completes
+// when its data returns, a write when the queue accepts it (posted, but
+// it still feels backpressure from a full queue).
+//
 // replay_sweep remains cell-level parallelism (one serial replay per
 // encode-latency point) and shares a single read-only mapping of the
 // trace across all cells.
@@ -97,6 +103,15 @@ struct TraceReplayResult {
 [[nodiscard]] TraceReplayResult replay_trace_sharded(
     std::span<const MemAccess> trace, const TraceReplayConfig& replay,
     const MemSysConfig& mem, usize jobs);
+
+/// On-chip time (cache hits and computation) between one request's
+/// completion and the next request's arrival in replay_closed_loop.
+inline constexpr double kClosedLoopGapNs = 20.0;
+
+/// Closed-loop replay of a recorded request stream in program order (see
+/// the header comment). makespan_ns covers the final write drain.
+[[nodiscard]] TraceReplayResult replay_closed_loop(
+    std::span<const MemAccess> stream, const MemSysConfig& mem);
 
 /// One sweep cell: the base MemSysConfig with this encode latency.
 struct ReplaySweepCell {

@@ -13,7 +13,7 @@ class CollectingBackend final : public LineBackend {
 
   CacheLine read_line(u64 line_addr) override {
     ++reads_;
-    if (requests_ != nullptr) requests_->push_back({line_addr, false});
+    if (requests_ != nullptr) requests_->push_back({line_addr, Op::kRead});
     const auto it = image_.find(line_addr);
     return it != image_.end() ? it->second : workload_->initial_line(line_addr);
   }
@@ -21,11 +21,11 @@ class CollectingBackend final : public LineBackend {
   void write_line(u64 line_addr, const CacheLine& data) override {
     image_[line_addr] = data;
     if (sink_ != nullptr) sink_->push_back({line_addr, data});
-    if (requests_ != nullptr) requests_->push_back({line_addr, true});
+    if (requests_ != nullptr) requests_->push_back({line_addr, Op::kWrite});
   }
 
   void set_sink(std::vector<WriteBack>* sink) noexcept { sink_ = sink; }
-  void set_request_log(std::vector<MemRequest>* log) noexcept {
+  void set_request_log(std::vector<MemAccess>* log) noexcept {
     requests_ = log;
   }
   void reset_reads() noexcept { reads_ = 0; }
@@ -35,7 +35,7 @@ class CollectingBackend final : public LineBackend {
   const WorkloadGenerator* workload_;
   std::unordered_map<u64, CacheLine> image_;
   std::vector<WriteBack>* sink_ = nullptr;
-  std::vector<MemRequest>* requests_ = nullptr;
+  std::vector<MemAccess>* requests_ = nullptr;
   u64 reads_ = 0;
 };
 

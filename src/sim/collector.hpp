@@ -20,12 +20,6 @@
 
 namespace nvmenc {
 
-/// One memory-controller request in program order (for timing studies).
-struct MemRequest {
-  u64 line_addr = 0;
-  bool is_write = false;
-};
-
 struct WritebackTrace {
   std::string benchmark;
   /// Write-backs issued during warm-up: replay applies them to reach
@@ -36,10 +30,10 @@ struct WritebackTrace {
   /// Demand line fetches during the measured window (their read energy is
   /// identical across schemes but part of the totals, Section 4.2.2).
   u64 demand_reads = 0;
-  /// Interleaved request order of the measured window (reads and
-  /// write-backs), populated when CollectorConfig::record_requests is
-  /// set. Drives the MemoryTimingModel.
-  std::vector<MemRequest> requests;
+  /// Interleaved line requests of the measured window (fills as reads,
+  /// write-backs as writes; `value` unused), populated when
+  /// CollectorConfig::record_requests is set. Drives replay_closed_loop.
+  std::vector<MemAccess> requests;
   /// Pristine contents of any line (forwarded from the workload).
   std::function<CacheLine(u64)> initial_line;
 };

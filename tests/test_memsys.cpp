@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "memsys/encode_cost.hpp"
 #include "memsys/loadgen.hpp"
 #include "memsys/sweep.hpp"
+#include "memsys/trace_replay.hpp"
 
 namespace nvmenc {
 namespace {
@@ -223,6 +225,94 @@ TEST(MemorySystem, CompletionsAreMonotonicAndComplete) {
   EXPECT_EQ(delivered, submitted);
   sys.drain_all();
   EXPECT_TRUE(sys.idle());
+}
+
+TEST(MemorySystem, ReadBehindDrainWaitsForBank) {
+  MemSysConfig c = small_config();
+  c.opportunistic_writes = false;
+  c.org.channels = 1;
+  MemorySystem sys{c};
+  // Six writes to bank 0 reach the high watermark and start a drain.
+  for (u64 i = 0; i < 6; ++i) {
+    sys.submit(i * kLineBytes, ReqKind::kWrite, 0.0);
+  }
+  ASSERT_EQ(sys.stats().drains, 1u);
+  // A read to another row of bank 0 queues behind the drain's writes.
+  const u64 ticket = sys.submit(2 * c.org.row_bytes, ReqKind::kRead, 1.0);
+  double read_done = 0.0;
+  while (const auto comp = step(sys)) {
+    if (comp->ticket == ticket) read_done = comp->time_ns;
+  }
+  EXPECT_GT(read_done - 1.0, c.org.t_write_ns);  // waited for a write
+}
+
+TEST(MemorySystem, DrainedLineIsNoLongerQueued) {
+  MemSysConfig c = small_config();
+  c.opportunistic_writes = false;
+  MemorySystem sys{c};
+  sys.submit(0x40, ReqKind::kWrite, 0.0);
+  (void)sys.drain_all();
+  EXPECT_EQ(sys.write_queue_depth(0), 0u);
+  // The drained line is not forwardable: the read goes to the array.
+  sys.submit(0x40, ReqKind::kRead, 1000.0);
+  const auto comp = step(sys);
+  ASSERT_TRUE(comp.has_value());
+  EXPECT_FALSE(comp->forwarded);
+  EXPECT_GT(comp->time_ns, 1000.0);
+  // And a re-write of it is a fresh queue entry, not a coalesce.
+  sys.submit(0x40, ReqKind::kWrite, 2000.0);
+  EXPECT_EQ(sys.stats().coalesced_writes, 0u);
+  EXPECT_EQ(sys.write_queue_depth(0), 1u);
+}
+
+/// Closed-loop stats of one small stream (writes drained at the watermark
+/// only, so rewrites coalesce and reads of queued lines forward).
+MemSysStats closed_loop_stats(const std::vector<MemAccess>& stream) {
+  MemSysConfig c = small_config();
+  c.opportunistic_writes = false;
+  return replay_closed_loop(stream, c).stats;
+}
+
+TEST(MemSysStats, MergeCombinesTwoRuns) {
+  std::vector<MemAccess> forwarding;
+  for (u64 i = 0; i < 20; ++i) {
+    forwarding.push_back({i * kLineBytes, Op::kWrite});
+    forwarding.push_back({i * kLineBytes, Op::kRead});
+  }
+  std::vector<MemAccess> reading;
+  for (u64 i = 0; i < 30; ++i) {
+    reading.push_back({(i % 4) * kLineBytes, Op::kRead});
+  }
+  const MemSysStats a = closed_loop_stats(forwarding);
+  const MemSysStats b = closed_loop_stats(reading);
+  ASSERT_GT(a.forwarded_reads, 0u);
+  MemSysStats merged = a;
+  merged.merge(b);
+  EXPECT_EQ(merged.reads, a.reads + b.reads);
+  EXPECT_EQ(merged.writes, a.writes + b.writes);
+  EXPECT_EQ(merged.array_writes, a.array_writes + b.array_writes);
+  EXPECT_EQ(merged.forwarded_reads, a.forwarded_reads + b.forwarded_reads);
+  EXPECT_EQ(merged.read_latency_stat.count(),
+            a.read_latency_stat.count() + b.read_latency_stat.count());
+  EXPECT_EQ(merged.read_latency_ns.count(), merged.reads);
+  EXPECT_EQ(merged.last_completion_ns,
+            std::max(a.last_completion_ns, b.last_completion_ns));
+  // Identity: merging an empty stats block changes nothing.
+  const MemSysStats before = merged;
+  merged.merge(MemSysStats{});
+  EXPECT_EQ(merged, before);
+}
+
+TEST(MemSysStats, ReadHistogramMatchesRunningStat) {
+  std::vector<MemAccess> stream;
+  for (u64 i = 0; i < 40; ++i) {
+    if (i % 4 == 0) stream.push_back({i * kLineBytes, Op::kWrite});
+    stream.push_back({(i % 8) * kLineBytes, Op::kRead});
+  }
+  const MemSysStats st = closed_loop_stats(stream);
+  EXPECT_EQ(st.read_latency_ns.count(), st.reads);
+  EXPECT_EQ(st.read_latency_stat.count(), st.reads);
+  EXPECT_NEAR(st.read_latency_ns.mean(), st.read_latency_stat.mean(), 1e-9);
 }
 
 TEST(Zipfian, RanksInRangeAndSkewed) {

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/perf.hpp"
-
 namespace nvmenc {
 namespace {
 
@@ -113,39 +111,6 @@ TEST(Timing, BankFreeAtBoundsChecked) {
   EXPECT_THROW((void)model.bank_free_at(1, 0), std::invalid_argument);
   EXPECT_THROW((void)model.bank_free_at(0, 2), std::invalid_argument);
   EXPECT_EQ(model.bank_free_at(0, 0), 0.0);
-}
-
-TEST(PerfReplay, ReadsStallWritesPost) {
-  PerfConfig pc;
-  pc.org = simple_org();
-  pc.cpu_gap_ns = 10.0;
-  // read (stalls), write (posted), read.
-  const std::vector<MemRequest> reqs{
-      {0, false}, {4096, true}, {8192, false}};
-  const PerfResult r = run_timing(reqs, pc);
-  EXPECT_EQ(r.timing.reads, 2u);
-  EXPECT_EQ(r.timing.writes, 1u);
-  EXPECT_GT(r.total_ns, 2 * (60 + 100 + 8));
-}
-
-TEST(PerfReplay, HigherEncodeLatencySlowsWriteHeavyStreams) {
-  std::vector<MemRequest> reqs;
-  for (u64 i = 0; i < 2000; ++i) {
-    reqs.push_back({i * 64, i % 2 == 0});
-  }
-  PerfConfig fast;
-  fast.org = simple_org();
-  PerfConfig slow = fast;
-  slow.org.encode_latency_ns = 200.0;
-  const PerfResult a = run_timing(reqs, fast);
-  const PerfResult b = run_timing(reqs, slow);
-  EXPECT_GT(b.total_ns, a.total_ns);
-}
-
-TEST(PerfReplay, EmptyStream) {
-  const PerfResult r = run_timing({}, PerfConfig{});
-  EXPECT_EQ(r.total_ns, 0.0);
-  EXPECT_EQ(r.timing.reads, 0u);
 }
 
 TEST(Timing, DecomposeRoundTripsAcrossChannels) {

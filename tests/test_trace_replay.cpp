@@ -1,5 +1,6 @@
-// Open-loop trace replay (memsys/trace_replay.hpp): determinism, the
-// text/binary round trip, and the sweep's jobs-independence.
+// Trace replay (memsys/trace_replay.hpp): open-loop determinism, the
+// text/binary round trip, the sweep's jobs-independence, and the
+// closed-loop driver behind `nvmenc perf` and bench/perf_overhead.
 //
 // The replay path promises bit-identical statistics for a (trace, config)
 // pair — across repeated runs, across --jobs values, and across the
@@ -141,6 +142,75 @@ TEST_F(TraceReplayTest, OpenLoopIgnoresBackpressure) {
   const TraceReplayResult cold = replay_trace(trace, replay, mem);
   EXPECT_GT(hot.stats.read_latency_ns.p99(),
             cold.stats.read_latency_ns.p99());
+}
+
+// --- replay_closed_loop: the Section 3.4.2 CPU model ---
+
+/// One channel, two banks, Table 2 array timings.
+MemSysConfig two_bank_config() {
+  MemSysConfig c;
+  c.org.banks = 2;
+  return c;
+}
+
+TEST(PerfReplay, ReadsStallWritesPost) {
+  const MemSysConfig c = two_bank_config();
+  // read (stalls), write (posted), read — three distinct rows.
+  const std::vector<MemAccess> stream{
+      {0, Op::kRead}, {4096, Op::kWrite}, {8192, Op::kRead}};
+  const TraceReplayResult r = replay_closed_loop(stream, c);
+  EXPECT_EQ(r.stats.reads, 2u);
+  EXPECT_EQ(r.stats.writes, 1u);
+  EXPECT_EQ(r.timing.writes, 1u);  // the final drain reached the array
+  EXPECT_EQ(r.stats.write_accept_ns.max(), 0.0);  // accepted on arrival
+  // Each read waits a cold-row service time; the CPU gap precedes every
+  // arrival.
+  const double cold_read =
+      c.org.t_row_cycle_ns + c.org.t_read_ns + c.org.t_bus_ns;
+  EXPECT_GE(r.makespan_ns, 2 * cold_read + 3 * kClosedLoopGapNs);
+  EXPECT_EQ(r.accesses, 3u);
+}
+
+TEST(PerfReplay, HigherEncodeLatencySlowsWriteHeavyStreams) {
+  std::vector<MemAccess> stream;
+  for (u64 i = 0; i < 2000; ++i) {
+    stream.push_back({i * kLineBytes, i % 2 == 0 ? Op::kWrite : Op::kRead});
+  }
+  const MemSysConfig fast = two_bank_config();
+  MemSysConfig slow = fast;
+  slow.org.encode_latency_ns = 200.0;
+  EXPECT_GT(replay_closed_loop(stream, slow).makespan_ns,
+            replay_closed_loop(stream, fast).makespan_ns);
+}
+
+TEST(PerfReplay, EmptyStream) {
+  const TraceReplayResult r = replay_closed_loop({}, MemSysConfig{});
+  EXPECT_EQ(r.makespan_ns, 0.0);
+  EXPECT_EQ(r.stats.reads, 0u);
+  EXPECT_EQ(r.timing.reads, 0u);
+}
+
+TEST(PerfReplay, WatermarkDrainsCoalesceAndForwardHotWrites) {
+  // Hot lines are rewritten repeatedly and read back. Drained only at the
+  // watermark, the queue coalesces the rewrites (fewer array writes) and
+  // forwards the reads, so the stream finishes sooner than when every
+  // write is issued as soon as the channel has no read pending.
+  std::vector<MemAccess> stream;
+  Xoshiro256 rng{42};
+  for (int burst = 0; burst < 200; ++burst) {
+    for (int w = 0; w < 8; ++w) {
+      stream.push_back({rng.next_below(4) * kLineBytes, Op::kWrite});
+    }
+    stream.push_back({rng.next_below(4) * kLineBytes, Op::kRead});
+  }
+  const MemSysConfig eager = two_bank_config();
+  MemSysConfig watermark = eager;
+  watermark.opportunistic_writes = false;
+  const TraceReplayResult a = replay_closed_loop(stream, eager);
+  const TraceReplayResult b = replay_closed_loop(stream, watermark);
+  EXPECT_LT(b.stats.array_writes, b.stats.writes / 4);  // coalescing
+  EXPECT_GT(b.stats.forwarded_reads, 100u);             // forwarding
+  EXPECT_LT(b.makespan_ns, a.makespan_ns);              // less array work
 }
 
 }  // namespace

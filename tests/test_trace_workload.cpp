@@ -71,8 +71,8 @@ TEST(Collector, RecordRequestsCapturesInterleavedOrder) {
   EXPECT_FALSE(trace.requests.empty());
   usize reads = 0;
   usize writes = 0;
-  for (const MemRequest& r : trace.requests) {
-    (r.is_write ? writes : reads) += 1;
+  for (const MemAccess& r : trace.requests) {
+    (r.op == Op::kWrite ? writes : reads) += 1;
   }
   EXPECT_EQ(reads, trace.demand_reads);
   EXPECT_EQ(writes, trace.measured.size());

@@ -23,8 +23,9 @@
 //       are decoded straight out of the mmap'd file at a fixed arrival
 //       rate; prints throughput and read-latency tail percentiles. With
 //       --schemes, sweeps one cell per scheme's encode latency.
-//   nvmenc perf --benchmark=gcc [--accesses=N] [--encode-ns=X] [--sched]
-//       Timing replay through the banked memory model.
+//   nvmenc perf --benchmark=gcc [--accesses=N] [--encode-ns=X]
+//       Closed-loop replay of the benchmark's request stream through the
+//       memory system (the paper's Section 3.4.2 CPU model).
 //   nvmenc loadgen --scheme=READ+SAE [--pattern=zipfian] [--users=N]
 //              [--think-ns=X] [--requests=N] [--encode-model=paper]
 //       Closed-loop load generation against the multi-channel memory
@@ -45,7 +46,6 @@
 #include "runner/parallel_runner.hpp"
 #include "runner/progress.hpp"
 #include "sim/experiment.hpp"
-#include "sim/perf.hpp"
 #include "sim/simulator.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/text_trace.hpp"
@@ -71,7 +71,6 @@ struct Args {
   u64 seed = 42;
   usize jobs = 0;  // 0 = one worker per hardware context
   double encode_ns = 3.47;
-  bool sched = false;
   // Fault-injection / resilience knobs (matrix).
   double fault_rate = 0.0;
   double read_disturb = 0.0;
@@ -195,8 +194,7 @@ void handle_stop_signal(int) { g_cancel.request_stop(); }
       "          (loops the workload, serially, until the failure\n"
       "          condition; prints the aging summary, the survivor-\n"
       "          capacity curve, and the lifetime table)\n"
-      "  perf:   --benchmark=NAME [--accesses=N] [--encode-ns=X] "
-      "[--sched]\n"
+      "  perf:   --benchmark=NAME [--accesses=N] [--encode-ns=X]\n"
       "  loadgen: --scheme=NAME [--pattern=uniform|zipfian|diurnal]\n"
       "          [--users=N] [--think-ns=X] [--read-fraction=F]\n"
       "          [--requests=N] [--footprint=LINES] [--channels=N]\n"
@@ -304,7 +302,6 @@ Args parse(int argc, char** argv) {
     else if (flag("protect-meta")) args.protect_meta = true;
     else if (flag("atomic-writes")) args.atomic_writes = true;
     else if (flag("resume")) args.resume = true;
-    else if (flag("sched")) args.sched = true;
     else {
       std::cerr << "unknown option '" << arg << "'\n";
       usage();
@@ -834,25 +831,24 @@ int cmd_perf(const Args& args) {
   SyntheticWorkload workload{profile_by_name(args.benchmark), args.seed};
   const WritebackTrace trace = collect_writebacks(workload, cfg.collector);
 
-  PerfConfig pc;
-  pc.org.encode_latency_ns = args.encode_ns;
-  pc.use_write_queue = args.sched;
-  const PerfResult r = run_timing(trace.requests, pc);
+  MemSysConfig mem;
+  mem.org.encode_latency_ns = args.encode_ns;
+  const TraceReplayResult r = replay_closed_loop(trace.requests, mem);
 
   TextTable table{{"metric", "value"}};
   table.add_row({"benchmark", args.benchmark});
   table.add_row({"requests", std::to_string(trace.requests.size())});
   table.add_row({"encode latency (ns)", TextTable::fmt(args.encode_ns, 2)});
-  table.add_row({"write queue", args.sched ? "on" : "off"});
-  table.add_row({"execution time (ms)", TextTable::fmt(r.total_ns / 1e6, 2)});
+  table.add_row({"execution time (ms)",
+                 TextTable::fmt(r.makespan_ns / 1e6, 2)});
   table.add_row({"avg read latency (ns)",
-                 TextTable::fmt(r.avg_read_latency_ns(), 1)});
+                 TextTable::fmt(r.stats.read_latency_stat.mean(), 1)});
   table.add_row({"row hit rate", TextTable::fmt(r.timing.row_hit_rate(), 3)});
-  if (args.sched) {
-    table.add_row({"forwarded reads",
-                   std::to_string(r.scheduler.forwarded_reads)});
-    table.add_row({"drain episodes", std::to_string(r.scheduler.drains)});
-  }
+  table.add_row({"forwarded reads", std::to_string(r.stats.forwarded_reads)});
+  table.add_row({"coalesced writes",
+                 std::to_string(r.stats.coalesced_writes)});
+  table.add_row({"drain episodes", std::to_string(r.stats.drains)});
+  table.add_row({"write stalls", std::to_string(r.stats.write_stalls)});
   table.print(std::cout);
   return 0;
 }
