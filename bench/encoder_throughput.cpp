@@ -3,10 +3,18 @@
 // hardware number — but the software cost bounds simulation turnaround
 // and documents the relative algorithmic complexity (CAFO's iterative
 // optimization vs FNW's single pass vs READ+SAE's four parallel options).
+//
+// `--benchmark_out=FILE --benchmark_out_format=json` writes the run with
+// the provenance stamp (schema version, git describe, build type) in its
+// "context" block; scripts/encoder_throughput_record.py turns two such
+// files, a baseline and a change, into results/BENCH_encoder_throughput.json.
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/schemes.hpp"
+#include "provenance.hpp"
 
 namespace nvmenc {
 namespace {
@@ -67,6 +75,10 @@ int main(int argc, char** argv) {
         ("decode/" + nvmenc::scheme_name(s)).c_str(),
         [s](benchmark::State& st) { nvmenc::bench_decode(st, s); });
   }
+  benchmark::AddCustomContext("schema_version",
+                              std::to_string(nvmenc::kBenchSchemaVersion));
+  benchmark::AddCustomContext("git", NVMENC_GIT_DESCRIBE);
+  benchmark::AddCustomContext("build_type", NVMENC_BUILD_TYPE);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

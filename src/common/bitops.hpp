@@ -13,9 +13,25 @@
 
 namespace nvmenc {
 
-/// Number of set bits in `x`.
+/// Per-byte set-bit counts of `x`: byte i of the result is the popcount of
+/// byte i of `x` (0..8). The first three steps of the SWAR popcount; the
+/// Flip-N-Write kernel compares these byte counts in parallel.
+[[nodiscard]] constexpr u64 byte_popcounts(u64 x) noexcept {
+  x = x - ((x >> 1) & 0x5555555555555555ull);
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  return (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+}
+
+/// Number of set bits in `x`. With the POPCNT instruction available this is
+/// `std::popcount`; without it, `std::popcount` compiles to a call into
+/// libgcc (`__popcountdi2`), so the count is done inline in SWAR form: the
+/// byte counts above, summed into the top byte by one multiply.
 [[nodiscard]] constexpr usize popcount(u64 x) noexcept {
+#if defined(__POPCNT__)
   return static_cast<usize>(std::popcount(x));
+#else
+  return static_cast<usize>((byte_popcounts(x) * 0x0101010101010101ull) >> 56);
+#endif
 }
 
 /// Hamming distance between two words: the bit flips incurred when the

@@ -8,6 +8,10 @@
 // choose each column's best tag — until a fixpoint. Tag-bit flips against
 // the previously stored tags are part of the cost, exactly like the data
 // cells.
+//
+// Row r is the 16-bit lane r % 4 of line word r / 4. The error matrix is
+// transposed once per encode, so that columns are 16-bit lanes too, and
+// both passes decide four tags per word operation (see cafo.cpp).
 #pragma once
 
 #include <array>
@@ -38,11 +42,6 @@ class CafoEncoder final : public Encoder {
                    const CacheLine& new_line) const override;
 
  private:
-  /// Row r of a line: bits [r*16, r*16+16).
-  [[nodiscard]] static u64 row(const CacheLine& line, usize r) noexcept {
-    return extract_bits(line.words(), r * kCols, kCols);
-  }
-
   std::string name_ = "CAFO";
 };
 

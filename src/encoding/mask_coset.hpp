@@ -46,11 +46,18 @@ class MaskCosetEncoder : public Encoder {
                    const CacheLine& new_line) const override;
 
  private:
+  /// Word-parallel encode of the `fnw8_` configuration.
+  void encode_fnw8(StoredLine& stored, const CacheLine& new_line) const;
+
   std::string name_;
   usize block_bits_;
   usize blocks_;
   usize index_bits_;
   std::vector<u64> masks_;
+  /// Flip-N-Write at 8-bit blocks (masks {0, 0xFF}): encoded and decoded a
+  /// word at a time instead of by the generic per-block loop, with the
+  /// same choices bit for bit.
+  bool fnw8_ = false;
 };
 
 /// Flip-N-Write at `granularity` data bits per tag bit (paper config: 8).

@@ -51,9 +51,11 @@ double paper_encode_ns(Scheme scheme) {
 }
 
 double measured_encode_ns(Scheme scheme) {
-  // results/BENCH_encoder_throughput.json: READ family from the "simd"
-  // section (vectorized MaskEval, best tier on the reference machine);
-  // the rest from the single-pass kernel column, which SIMD leaves alone.
+  // Fixed model inputs: the software encode cost of each scheme as
+  // results/BENCH_encoder_throughput.json recorded it on a single-core
+  // reference machine before the word-parallel FNW and CAFO kernels (READ
+  // family from its SIMD tier). They stay fixed so that simulated results
+  // do not move with host speed; that file has today's host numbers.
   switch (scheme) {
     case Scheme::kDcw:
       return 92.8;

@@ -3,6 +3,8 @@
 #include "common/bitops.hpp"
 
 #include <array>
+#include <bit>
+#include <vector>
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -15,6 +17,44 @@ TEST(Bitops, PopcountBasics) {
   EXPECT_EQ(popcount(1u), 1u);
   EXPECT_EQ(popcount(~u64{0}), 64u);
   EXPECT_EQ(popcount(0xF0F0F0F0F0F0F0F0ull), 32u);
+}
+
+// popcount is an inline SWAR count unless the build targets POPCNT; it
+// must agree with std::popcount everywhere and stay usable in constant
+// expressions.
+static_assert(popcount(0) == 0 && popcount(~u64{0}) == 64 &&
+              popcount(0x8000000000000001ull) == 2);
+static_assert(byte_popcounts(0xFF0F030100000000ull) == 0x0804020100000000ull);
+
+TEST(Bitops, PopcountMatchesStdOnEdgeValues) {
+  std::vector<u64> edges{0, ~u64{0}, 0x5555555555555555ull,
+                         0xAAAAAAAAAAAAAAAAull, 0x3333333333333333ull,
+                         0x0F0F0F0F0F0F0F0Full, 0x00FF00FF00FF00FFull,
+                         0xFFFFFFFF00000000ull, 0x8000000000000001ull};
+  for (usize i = 0; i < 64; ++i) {
+    edges.push_back(u64{1} << i);
+    edges.push_back(~(u64{1} << i));
+    edges.push_back(low_mask(i));
+  }
+  for (const u64 x : edges) {
+    EXPECT_EQ(popcount(x), static_cast<usize>(std::popcount(x))) << x;
+  }
+}
+
+TEST(Bitops, PopcountMatchesStdOnRandomWords) {
+  Xoshiro256 rng{0x9090};
+  for (int i = 0; i < 100'000; ++i) {
+    // Mix dense, sparse (AND of draws) and very dense (OR of draws) words.
+    u64 x = rng.next();
+    if (i % 3 == 1) x &= rng.next() & rng.next();
+    if (i % 3 == 2) x |= rng.next() | rng.next();
+    ASSERT_EQ(popcount(x), static_cast<usize>(std::popcount(x))) << x;
+    const u64 bytes = byte_popcounts(x);
+    for (usize b = 0; b < 8; ++b) {
+      ASSERT_EQ((bytes >> (8 * b)) & 0xFF,
+                static_cast<u64>(std::popcount((x >> (8 * b)) & 0xFF)));
+    }
+  }
 }
 
 TEST(Bitops, HammingWords) {
