@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "memsys/memory_system.hpp"
 
 namespace nvmenc {
@@ -17,6 +18,13 @@ constexpr usize kNone = ~usize{0};
 constexpr usize kReadReserve = 1024;
 constexpr usize kParkedReserve = 256;
 constexpr usize kCompletionReserve = 1024;
+
+#ifndef NDEBUG
+/// Per-ticket term of the debug ticket ledger's hash sums.
+constexpr u64 ticket_hash(u64 ticket) noexcept {
+  return SplitMix64{ticket}.next();
+}
+#endif
 }  // namespace
 
 ChannelShard::ChannelShard(const MemSysConfig& config, usize channel)
@@ -47,6 +55,10 @@ ChannelShard::ChannelShard(const MemSysConfig& config, usize channel)
 }
 
 void ChannelShard::push_completion(const MemSysCompletion& completion) {
+#ifndef NDEBUG
+  ++dbg_tickets_out_;
+  dbg_hash_out_ += ticket_hash(completion.ticket);
+#endif
   completions_.push(completion);
   stats_.last_completion_ns =
       std::max(stats_.last_completion_ns, completion.time_ns);
@@ -90,6 +102,13 @@ void ChannelShard::submit_with_ticket(u64 ticket, u64 line_addr,
                                       bool remapped) {
   NVMENC_DCHECK(channel_of_line(timing_.org(), line_addr) == channel_,
                 "line routed to the wrong channel shard");
+#ifndef NDEBUG
+  ++dbg_tickets_in_;
+  dbg_hash_in_ += ticket_hash(ticket);
+#endif
+  // Everything below may touch the queues, the banks (remap penalty,
+  // Start-Gap migrations) or the pending scrub.
+  wake_valid_ = false;
   if (wl_) {
     // Wear-leveling translation: channel-preserving, so the routing above
     // holds for the physical address too. The leveler observes the write
@@ -140,6 +159,7 @@ void ChannelShard::submit_with_ticket(u64 ticket, u64 line_addr,
       parked_.push_back({ticket, line_addr, now_ns});
     }
   }
+  check_invariants();
 }
 
 void ChannelShard::charge_wl_migrations(const std::vector<u64>& dests,
@@ -189,7 +209,7 @@ u64 ChannelShard::submit(u64 line_addr, ReqKind kind, double now_ns,
   return ticket;
 }
 
-double ChannelShard::wake() const {
+double ChannelShard::scan_wake() const {
   const bool drain_mode = draining_ && !writes_.empty();
   const bool write_mode =
       drain_mode || (reads_.empty() && !writes_.empty() &&
@@ -224,19 +244,47 @@ double ChannelShard::wake() const {
 }
 
 void ChannelShard::arbitrate(double now) {
+  NVMENC_DCHECK(now >= dbg_last_arbitration_ns_,
+                "arbitration time went backwards");
+#ifndef NDEBUG
+  dbg_last_arbitration_ns_ = now;
+#endif
+  wake_valid_ = false;
   const bool drain_mode = draining_ && !writes_.empty();
   const bool write_mode =
       drain_mode || (reads_.empty() && !writes_.empty() &&
                      (opportunistic_writes_ || flushing_));
   const bool issued = write_mode ? issue_write(now) : issue_read(now);
-  if (issued) return;
-  if (scrub_.has_value() && scrub_->arrival <= now &&
-      timing_.bank_free_at(channel_, scrub_->where.bank) <= now) {
-    issue_scrub(now);
-    return;
+  if (!issued) {
+    if (scrub_.has_value() && scrub_->arrival <= now &&
+        timing_.bank_free_at(channel_, scrub_->where.bank) <= now) {
+      issue_scrub(now);
+    } else {
+      // Unreachable by the wake contract; guarantee progress regardless.
+      slot_free_at_ = now + std::max(t_cmd_ns_, 1.0);
+    }
   }
-  // Unreachable by the wake contract; guarantee progress regardless.
-  slot_free_at_ = now + std::max(t_cmd_ns_, 1.0);
+  check_invariants();
+}
+
+void ChannelShard::check_invariants() const {
+  NVMENC_DCHECK(stats_.writes == stats_.array_writes +
+                                     stats_.coalesced_writes + writes_.size(),
+                "accepted writes != array + coalesced + queued writes");
+#ifndef NDEBUG
+  u64 held_hash = 0;
+  for (const PendingRead& r : reads_) held_hash += ticket_hash(r.ticket);
+  for (usize i = 0; i < parked_.size(); ++i) {
+    held_hash += ticket_hash(parked_[i].ticket);
+  }
+  NVMENC_DCHECK(dbg_tickets_in_ ==
+                    dbg_tickets_out_ + reads_.size() + parked_.size(),
+                "a ticket was lost or completed twice");
+  NVMENC_DCHECK(dbg_hash_in_ == dbg_hash_out_ + held_hash,
+                "a ticket was lost or completed twice");
+  NVMENC_DCHECK(dbg_tickets_out_ - dbg_popped_ == completions_.size(),
+                "completion heap out of step with the ticket ledger");
+#endif
 }
 
 bool ChannelShard::issue_read(double now) {
@@ -260,7 +308,7 @@ bool ChannelShard::issue_read(double now) {
   }
   const PendingRead r = reads_[pick];
   reads_.erase(reads_.begin() + static_cast<std::ptrdiff_t>(pick));
-  double done = timing_.access(r.line_addr, MemOp::kRead, now);
+  double done = timing_.access(r.where, MemOp::kRead, now);
   if (ras_) {
     const FaultDomain::ReadOutcome out =
         ras_->on_demand_read(r.line_addr, now);
@@ -304,7 +352,7 @@ bool ChannelShard::issue_write(double now) {
   queued_lines_.erase(w.line_addr);
   // Encode latency (MemOrg::encode_latency_ns) is charged inside: the
   // scheme's encoder occupies the bank before the array write starts.
-  double done = timing_.access(w.line_addr, MemOp::kWrite, now);
+  double done = timing_.access(w.where, MemOp::kWrite, now);
   ++stats_.array_writes;
   if (ras_) {
     // Program-and-verify: failed pulses re-issue with exponential
@@ -346,7 +394,7 @@ bool ChannelShard::issue_write(double now) {
 void ChannelShard::issue_scrub(double now) {
   const PendingScrub s = *scrub_;
   scrub_.reset();
-  const double done = timing_.access(s.line_addr, MemOp::kRead, now);
+  const double done = timing_.access(s.where, MemOp::kRead, now);
   const FaultDomain::ScrubOutcome out =
       ras_->on_scrub_read(s.line_addr, now);
   // Scrub-on-read repair work occupies the bank: writing back a corrected
@@ -368,6 +416,9 @@ void ChannelShard::issue_scrub(double now) {
 MemSysCompletion ChannelShard::pop_completion() {
   const MemSysCompletion top = completions_.top();
   completions_.pop();
+#ifndef NDEBUG
+  ++dbg_popped_;
+#endif
   return top;
 }
 
@@ -391,10 +442,10 @@ std::optional<MemSysCompletion> ChannelShard::step_until(double t_ns) {
 }
 
 double ChannelShard::drain_all() {
-  flushing_ = true;
+  set_flushing(true);
   while (step_until(kInf).has_value()) {
   }
-  flushing_ = false;
+  set_flushing(false);
   return stats_.last_completion_ns;
 }
 

@@ -25,6 +25,7 @@
 #include <queue>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/flat_set.hpp"
 #include "common/ring_buffer.hpp"
 #include "memsys/ras.hpp"
@@ -76,8 +77,21 @@ class ChannelShard {
   // --- pieces the serial cross-channel arbiter composes ---
 
   /// Earliest time this shard could issue a command (+inf if nothing is
-  /// pending or allowed).
-  [[nodiscard]] double wake() const;
+  /// pending or allowed). Memoized: the value is a pure function of the
+  /// queues, the pending scrub, the bank busy-until times, the command
+  /// slot and the drain/flush flags, and only submit_with_ticket,
+  /// arbitrate and set_flushing change any of them — each drops the
+  /// cached value, and the next call rescans. The memo is written from
+  /// this const call, so, like every shard call, one thread at a time.
+  /// Debug builds check every returned value against a fresh scan.
+  [[nodiscard]] double wake() const {
+    if (!wake_valid_) {
+      wake_ = scan_wake();
+      wake_valid_ = true;
+    }
+    NVMENC_DCHECK(wake_ == scan_wake(), "cached wake differs from a scan");
+    return wake_;
+  }
   /// Issues the best eligible command at `now` (== wake()).
   void arbitrate(double now);
   [[nodiscard]] bool has_completion() const noexcept {
@@ -89,7 +103,10 @@ class ChannelShard {
   }
   MemSysCompletion pop_completion();
   /// drain_all-mode flag: writes may issue below the watermark.
-  void set_flushing(bool on) noexcept { flushing_ = on; }
+  void set_flushing(bool on) noexcept {
+    flushing_ = on;
+    wake_valid_ = false;
+  }
 
   [[nodiscard]] const MemSysStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const TimingStats& timing_stats() const noexcept {
@@ -118,7 +135,9 @@ class ChannelShard {
   }
   /// Applies time-based RAS transitions (the scripted media kill) at
   /// `now_ns`. Drivers call this at epoch boundaries so a killed channel
-  /// trips even when no further arrivals reach it.
+  /// trips even when no further arrivals reach it. A trip changes only
+  /// routing (which channel new arrivals go to), never this shard's
+  /// queues or banks, so the cached wake stays valid.
   void poll_ras(double now_ns) {
     if (ras_) ras_->poll(now_ns);
   }
@@ -173,6 +192,13 @@ class ChannelShard {
     void reserve(usize n) { c.reserve(n); }
   };
 
+  /// The uncached wake(): one pass over the read queue, the write queue
+  /// in write mode, and the pending scrub.
+  [[nodiscard]] double scan_wake() const;
+  /// Debug-build engine invariants (no-op under NDEBUG): ticket
+  /// conservation and write accounting. Called after every state change.
+  void check_invariants() const;
+
   bool issue_read(double now);
   bool issue_write(double now);
   void issue_scrub(double now);
@@ -208,6 +234,8 @@ class ChannelShard {
   bool flushing_ = false;
   double slot_free_at_ = 0.0;
   u64 next_ticket_ = 0;
+  mutable double wake_ = 0.0;        ///< wake() memo, valid iff wake_valid_
+  mutable bool wake_valid_ = false;
 
   // RAS layer: the fault domain plus the background scrub engine's
   // state. scrub_ holds at most one pending scrub read; it is armed on
@@ -225,6 +253,19 @@ class ChannelShard {
   std::optional<WearLevelTranslator> wl_;
   double wl_busy_ns_ = 0.0;
   double wl_energy_pj_ = 0.0;
+
+#ifndef NDEBUG
+  // Debug-only ledger behind check_invariants(). Every ticket enters once
+  // (submit) and leaves once (its completion is pushed); count and a
+  // hash sum over each side must balance against the tickets still held
+  // in reads_ and parked_, so a ticket completed twice or never shows up.
+  u64 dbg_tickets_in_ = 0;
+  u64 dbg_tickets_out_ = 0;
+  u64 dbg_hash_in_ = 0;
+  u64 dbg_hash_out_ = 0;
+  u64 dbg_popped_ = 0;
+  double dbg_last_arbitration_ns_ = 0.0;
+#endif
 };
 
 /// Per-channel RAS stats + the event logs merged in (time, channel)

@@ -25,7 +25,8 @@ void MemSysConfig::validate() const {
           "kill channel out of range");
 }
 
-MemorySystem::MemorySystem(MemSysConfig config) : config_{config} {
+MemorySystem::MemorySystem(MemSysConfig config)
+    : config_{config}, route_mask_(config.org.channels, 0) {
   config_.validate();
   shards_.reserve(config_.org.channels);
   for (usize c = 0; c < config_.org.channels; ++c) {
@@ -45,20 +46,25 @@ void MemorySystem::poll_ras(double now_ns) {
   for (ChannelShard& shard : shards_) shard.poll_ras(now_ns);
 }
 
-std::vector<u8> MemorySystem::degraded_mask() const {
-  if (!config_.ras.enabled()) return {};
-  std::vector<u8> mask(shards_.size(), 0);
+void MemorySystem::fill_degraded_mask(std::vector<u8>& mask) const {
   for (usize c = 0; c < shards_.size(); ++c) {
     mask[c] = shards_[c].ras_degraded() ? 1 : 0;
   }
+}
+
+std::vector<u8> MemorySystem::degraded_mask() const {
+  if (!config_.ras.enabled()) return {};
+  std::vector<u8> mask(shards_.size(), 0);
+  fill_degraded_mask(mask);
   return mask;
 }
 
-u64 MemorySystem::route_for_degradation(u64 line_addr) const {
+u64 MemorySystem::route_for_degradation(u64 line_addr) {
   if (!config_.ras.enabled()) return line_addr;
   const usize home = channel_of(line_addr);
   if (!shards_[home].ras_degraded()) return line_addr;
-  return ras_remap_line(config_.org, line_addr, degraded_mask());
+  fill_degraded_mask(route_mask_);
+  return ras_remap_line(config_.org, line_addr, route_mask_);
 }
 
 std::optional<MemSysCompletion> MemorySystem::step_until(double t_ns) {

@@ -118,16 +118,20 @@ class MemorySystem {
   /// Reroutes `line_addr` off a degraded home channel onto a surviving
   /// one (ras_remap_line over the live degraded flags); returns the
   /// address unchanged when RAS is off, the home is healthy, or no
-  /// channel survives.
-  [[nodiscard]] u64 route_for_degradation(u64 line_addr) const;
+  /// channel survives. Allocation-free: the flags are refreshed into a
+  /// buffer the system keeps.
+  [[nodiscard]] u64 route_for_degradation(u64 line_addr);
   /// Per-channel RAS stats + merged event log (empty when RAS is off).
   [[nodiscard]] RasReport ras_report() const {
     return collect_ras_report(shards_);
   }
 
  private:
+  void fill_degraded_mask(std::vector<u8>& mask) const;
+
   MemSysConfig config_;
   std::vector<ChannelShard> shards_;  ///< one per channel
+  std::vector<u8> route_mask_;        ///< route_for_degradation's flags
   u64 next_ticket_ = 0;
 };
 

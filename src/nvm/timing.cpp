@@ -6,7 +6,8 @@ namespace nvmenc {
 
 MemoryTimingModel::MemoryTimingModel(MemOrg org) : org_{org} {
   org_.validate();
-  banks_.resize(org_.channels * org_.ranks * org_.banks);
+  banks_per_channel_ = org_.ranks * org_.banks;
+  banks_.resize(org_.channels * banks_per_channel_);
   bus_free_at_.resize(org_.channels, 0.0);
 }
 
@@ -26,17 +27,16 @@ BankAddress MemoryTimingModel::decompose(u64 line_addr) const noexcept {
   BankAddress addr;
   addr.channel = channel_of_line(org_, line_addr);
   const u64 above_channel = row_id / org_.channels;
-  const usize banks_per_channel = org_.ranks * org_.banks;
-  addr.bank = static_cast<usize>(above_channel % banks_per_channel);
-  addr.row = above_channel / banks_per_channel;
+  addr.bank = static_cast<usize>(above_channel % banks_per_channel_);
+  addr.row = above_channel / banks_per_channel_;
   return addr;
 }
 
-double MemoryTimingModel::access(u64 line_addr, MemOp op,
+double MemoryTimingModel::access(const BankAddress& where, MemOp op,
                                  double arrival_ns) {
-  const BankAddress where = decompose(line_addr);
-  BankState& bank =
-      banks_[where.channel * org_.ranks * org_.banks + where.bank];
+  require(where.channel < org_.channels && where.bank < banks_per_channel_,
+          "bank index out of range");
+  BankState& bank = banks_[where.channel * banks_per_channel_ + where.bank];
 
   // The request starts when both it has arrived and the bank is free.
   double start = std::max(arrival_ns, bank.free_at);
@@ -62,6 +62,8 @@ double MemoryTimingModel::access(u64 line_addr, MemOp op,
   const double array_done = start + service;
   const double bus_start = std::max(array_done, bus);
   const double completion = bus_start + org_.t_bus_ns;
+  // Engine invariant: a bank's busy-until never moves backwards.
+  NVMENC_DCHECK(completion >= bank.free_at, "bank free_at went backwards");
   bus = completion;
   bank.free_at = completion;
 
@@ -78,25 +80,14 @@ double MemoryTimingModel::access(u64 line_addr, MemOp op,
   return completion;
 }
 
-double MemoryTimingModel::bank_free_at(usize channel, usize bank) const {
-  require(channel < org_.channels && bank < org_.ranks * org_.banks,
-          "bank index out of range");
-  return banks_[channel * org_.ranks * org_.banks + bank].free_at;
-}
-
 void MemoryTimingModel::occupy_bank(usize channel, usize bank,
                                     double from_ns, double extra_ns) {
-  require(channel < org_.channels && bank < org_.ranks * org_.banks,
+  require(channel < org_.channels && bank < banks_per_channel_,
           "bank index out of range");
-  BankState& state = banks_[channel * org_.ranks * org_.banks + bank];
-  state.free_at = std::max(state.free_at, from_ns) + extra_ns;
-}
-
-bool MemoryTimingModel::row_open(usize channel, usize bank, u64 row) const {
-  require(channel < org_.channels && bank < org_.ranks * org_.banks,
-          "bank index out of range");
-  const BankState& state = banks_[channel * org_.ranks * org_.banks + bank];
-  return state.row_valid && state.open_row == row;
+  BankState& state = banks_[channel * banks_per_channel_ + bank];
+  const double free_at = std::max(state.free_at, from_ns) + extra_ns;
+  NVMENC_DCHECK(free_at >= state.free_at, "bank free_at went backwards");
+  state.free_at = free_at;
 }
 
 }  // namespace nvmenc

@@ -108,17 +108,29 @@ class MemoryTimingModel {
   /// Services one request arriving at `arrival_ns`; returns its completion
   /// time. Reads are prioritized only in the sense that the caller issues
   /// them at CPU time; each bank is FCFS.
-  double access(u64 line_addr, MemOp op, double arrival_ns);
+  double access(u64 line_addr, MemOp op, double arrival_ns) {
+    return access(decompose(line_addr), op, arrival_ns);
+  }
+  /// Same, for a caller that already holds the line's decompose() result
+  /// (the channel shards keep it with every queued request).
+  double access(const BankAddress& where, MemOp op, double arrival_ns);
 
   [[nodiscard]] const TimingStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const MemOrg& org() const noexcept { return org_; }
 
   /// Earliest time the named bank is free (for tests and schedulers).
-  [[nodiscard]] double bank_free_at(usize channel, usize bank) const;
+  /// Inline: the channel shards' arbiter reads it for every queued
+  /// request it considers.
+  [[nodiscard]] double bank_free_at(usize channel, usize bank) const {
+    return bank_state(channel, bank).free_at;
+  }
 
   /// True when the bank's row buffer currently holds `row` — the FR-FCFS
   /// row-hit test an external arbiter needs to prefer open-row requests.
-  [[nodiscard]] bool row_open(usize channel, usize bank, u64 row) const;
+  [[nodiscard]] bool row_open(usize channel, usize bank, u64 row) const {
+    const BankState& state = bank_state(channel, bank);
+    return state.row_valid && state.open_row == row;
+  }
 
   /// Holds the bank busy for `extra_ns` beyond max(free_at, from_ns):
   /// the RAS layer's hook for charging recovery work (program-and-verify
@@ -136,7 +148,16 @@ class MemoryTimingModel {
     bool row_valid = false;
   };
 
+  /// Range-checked in every build: out-of-range indices throw
+  /// std::invalid_argument.
+  [[nodiscard]] const BankState& bank_state(usize channel, usize bank) const {
+    require(channel < org_.channels && bank < banks_per_channel_,
+            "bank index out of range");
+    return banks_[channel * banks_per_channel_ + bank];
+  }
+
   MemOrg org_;
+  usize banks_per_channel_ = 0;     // ranks * banks
   std::vector<BankState> banks_;    // channel-major
   std::vector<double> bus_free_at_; // per channel
   TimingStats stats_;

@@ -10,7 +10,9 @@
 // vectors and completion heap).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <vector>
 
@@ -66,6 +68,49 @@ void pump(MemorySystem& sys, const std::vector<MemAccess>& stream,
                      now);
   }
 }
+
+/// Closed loop mirroring run_load's per-request work (poll_ras,
+/// route_for_degradation, submit, step_until) with kUsers users, one
+/// request in flight each, on fixed-size tables so the harness itself
+/// never allocates.
+class ClosedLoop {
+ public:
+  void run(MemorySystem& sys, const std::vector<MemAccess>& stream,
+           u64 requests) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (u64 issued = 0; issued < requests;) {
+      usize user = 0;
+      for (usize u = 1; u < kUsers; ++u) {
+        if (ready_at_[u] < ready_at_[user]) user = u;
+      }
+      if (const auto comp = sys.step_until(ready_at_[user])) {
+        for (usize u = 0; u < kUsers; ++u) {
+          if (ready_at_[u] == kInf && ticket_[u] == comp->ticket) {
+            ready_at_[u] = comp->time_ns + kThinkNs;
+            break;
+          }
+        }
+        continue;
+      }
+      const double now = ready_at_[user];
+      const MemAccess& a = stream[index_++ % stream.size()];
+      sys.poll_ras(now);
+      const u64 addr = sys.route_for_degradation(a.line_addr());
+      ticket_[user] = sys.submit(
+          addr, a.op == Op::kRead ? ReqKind::kRead : ReqKind::kWrite, now,
+          addr != a.line_addr());
+      ready_at_[user] = kInf;
+      ++issued;
+    }
+  }
+
+ private:
+  static constexpr usize kUsers = 16;
+  static constexpr double kThinkNs = 40.0;
+  std::array<u64, kUsers> ticket_{};
+  std::array<double, kUsers> ready_at_{};  ///< +inf while in flight
+  u64 index_ = 0;
+};
 
 TEST(AllocHotPathTest, HookCountsOnlyWhileArmed) {
   // Call the replaceable operator directly: `delete new int` is legal for
@@ -127,6 +172,32 @@ TEST(AllocHotPathTest, SaturatedReplayStopsAllocatingOnceWarm) {
   alloc_hook_arm(false);
   EXPECT_EQ(after - before, 0u)
       << "the near-saturation hot path heap-allocated after warmup";
+  (void)sys.drain_all();
+}
+
+TEST(AllocHotPathTest, ClosedLoopAroundKilledChannelNeverAllocates) {
+  // Channel 1 dies almost at once, so about half of all requests are
+  // re-routed onto channel 0 through route_for_degradation and its remap
+  // queue. The warm-up covers the whole stream, so the fault domain has
+  // met every line before the counter is armed.
+  MemSysConfig mem = hot_config();
+  mem.ras.kill_channel = 1;
+  mem.ras.kill_at_ns = 1'000.0;
+  MemorySystem sys{mem};
+  const std::vector<MemAccess> stream = make_stream(5, 16'384);
+  ClosedLoop loop;
+  loop.run(sys, stream, 24'000);
+
+  alloc_hook_arm(true);
+  const u64 before = alloc_hook_count();
+  loop.run(sys, stream, 24'000);
+  const u64 after = alloc_hook_count();
+  alloc_hook_arm(false);
+  EXPECT_EQ(after - before, 0u)
+      << "routing around a degraded channel heap-allocated in steady state";
+
+  ASSERT_TRUE(sys.shard(1).ras_degraded());
+  EXPECT_GT(sys.shard(0).ras()->stats().remapped_in, 10'000u);
   (void)sys.drain_all();
 }
 

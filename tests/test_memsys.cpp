@@ -9,6 +9,7 @@
 #include "memsys/loadgen.hpp"
 #include "memsys/sweep.hpp"
 #include "memsys/trace_replay.hpp"
+#include "trace/synthetic.hpp"
 
 namespace nvmenc {
 namespace {
@@ -263,6 +264,66 @@ TEST(MemorySystem, DrainedLineIsNoLongerQueued) {
   sys.submit(0x40, ReqKind::kWrite, 2000.0);
   EXPECT_EQ(sys.stats().coalesced_writes, 0u);
   EXPECT_EQ(sys.write_queue_depth(0), 1u);
+}
+
+TEST(MemorySystem, WakeMemoMatchesShardedRunUnderEveryInvalidation) {
+  // One serial replay that exercises every way a shard's cached wake can
+  // go stale: plain and remapped submits (a tiny remap queue makes the
+  // survivors pay the congestion penalty on their banks), Start-Gap
+  // migrations charged at submit, scrub arming, a scripted channel kill,
+  // and drain_all's flushing toggle at the end. The sharded driver must
+  // agree bit for bit at jobs 1 and 4. Both run the same shard code, so
+  // the test also checks the symptoms a stale wake leaves (below), and
+  // Debug builds compare every cached wake with a fresh scan.
+  SyntheticWorkload workload{profile_by_name("bwaves"), 17};
+  std::vector<MemAccess> stream;
+  for (usize i = 0; i < 6'000; ++i) stream.push_back(workload.next());
+  TraceReplayConfig replay;
+  replay.inter_arrival_ns = 15.0;
+  replay.epoch_accesses = 500;
+  MemSysConfig mem;
+  mem.org.channels = 4;
+  mem.org.encode_latency_ns = 3.47;
+  // Writes issue only in watermark drains or under drain_all's flush, so
+  // the flushing toggle is what releases the final sub-watermark queues.
+  mem.opportunistic_writes = false;
+  mem.ras.kill_channel = 1;
+  mem.ras.kill_at_ns = 15'000.0;
+  mem.ras.remap_queue_capacity = 2;
+  mem.ras.scrub_interval_ns = 2'000.0;
+  mem.ras.lifetime.leveler = WearLevelerKind::kStartGap;
+  mem.ras.lifetime.wl_interval = 16;
+  mem.ras.lifetime.wl_region_lines = 64;
+
+  const TraceReplayResult serial = replay_trace(stream, replay, mem);
+  ASSERT_EQ(serial.accesses, stream.size());
+  ASSERT_EQ(serial.ras.channels.size(), 4u);
+  ASSERT_EQ(serial.ras.lifetime.size(), 4u);
+  EXPECT_EQ(serial.ras.channels[1].degraded, 1u);
+  u64 backoffs = 0;
+  u64 scrubs = 0;
+  u64 migrations = 0;
+  for (usize c = 0; c < 4; ++c) {
+    backoffs += serial.ras.channels[c].remap_backoff;
+    scrubs += serial.ras.channels[c].scrub_reads;
+    migrations += serial.ras.lifetime[c].wl_moves;
+  }
+  EXPECT_GT(backoffs, 0u);
+  EXPECT_GT(scrubs, 0u);
+  EXPECT_GT(migrations, 0u);
+  EXPECT_GT(serial.stats.drains, 0u);
+  // Symptoms a stale wake would leave even where serial and sharded
+  // agree: writes stranded in a queue after drain_all, or a read left
+  // waiting for the final drain (the longest honest read takes ~15 us of
+  // this 90 us run).
+  EXPECT_EQ(serial.stats.writes,
+            serial.stats.array_writes + serial.stats.coalesced_writes);
+  EXPECT_LT(serial.stats.read_latency_stat.max(), 30'000.0);
+
+  for (usize jobs : {usize{1}, usize{4}}) {
+    EXPECT_EQ(serial, replay_trace_sharded(stream, replay, mem, jobs))
+        << "jobs=" << jobs;
+  }
 }
 
 /// Closed-loop stats of one small stream (writes drained at the watermark
