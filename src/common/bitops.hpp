@@ -151,9 +151,11 @@ inline void flip_range(std::span<u64> words, usize pos, usize len) noexcept {
   return x == 0 ? 0 : usize{1} << (std::bit_width(x) - 1);
 }
 
-/// True when x is a power of two.
+/// True when x is a power of two. Not std::has_single_bit: without the
+/// POPCNT instruction that compiles to a libgcc call, and the address
+/// decode asks this on every request.
 [[nodiscard]] constexpr bool is_pow2(usize x) noexcept {
-  return std::has_single_bit(x);
+  return x != 0 && (x & (x - 1)) == 0;
 }
 
 }  // namespace nvmenc

@@ -1,5 +1,6 @@
 #include "memsys/lifetime.hpp"
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -111,20 +112,21 @@ LifetimeEngine::LifetimeEngine(const LifetimeConfig& config, usize channel)
 }
 
 LifetimeEngine::LineLife& LifetimeEngine::touch(u64 line) {
-  auto [it, inserted] = lines_.try_emplace(line);
+  const auto [life, inserted] = lines_.try_emplace(line);
   if (inserted) {
     if (config_.endurance_mean_flips > 0.0) {
       Xoshiro256 rng =
           lifetime_rng(config_.seed, channel_, line, 0, kSaltEndurance);
-      it->second.limit =
-          config_.endurance_mean_flips *
-          std::exp(config_.endurance_sigma * standard_normal(rng));
+      life->limit = config_.endurance_mean_flips *
+                    std::exp(config_.endurance_sigma * standard_normal(rng));
     } else {
-      it->second.limit = std::numeric_limits<double>::infinity();
+      life->limit = std::numeric_limits<double>::infinity();
     }
     ++stats_.lines_tracked;
   }
-  return it->second;
+  NVMENC_DCHECK(stats_.lines_tracked == lines_.size(),
+                "lines_tracked and the line table disagree");
+  return *life;
 }
 
 LifetimeEngine::WearOutcome LifetimeEngine::on_write(u64 line, double flips,
@@ -190,12 +192,15 @@ WearLevelTranslator::WearLevelTranslator(const LifetimeConfig& config,
           "translator needs a leveler");
   require(org_.row_bytes % kLineBytes == 0,
           "row size must be a whole number of lines");
+  if (is_pow2(config_.wl_region_lines)) {
+    region_shift_ = std::countr_zero(config_.wl_region_lines);
+  }
 }
 
 WearLeveler& WearLevelTranslator::region(u64 region_id) {
-  auto it = regions_.find(region_id);
-  if (it == regions_.end()) {
-    std::unique_ptr<WearLeveler> leveler;
+  std::unique_ptr<WearLeveler>& leveler =
+      *regions_.try_emplace(region_id).first;
+  if (!leveler) {
     if (config_.leveler == WearLevelerKind::kStartGap) {
       leveler = std::make_unique<StartGapLeveler>(config_.wl_region_lines,
                                                   config_.wl_interval);
@@ -209,17 +214,15 @@ WearLeveler& WearLevelTranslator::region(u64 region_id) {
       leveler = std::make_unique<SecurityRefreshLeveler>(
           config_.wl_region_lines, config_.wl_interval, kLineBits / 2, key);
     }
-    it = regions_.emplace(region_id, std::move(leveler)).first;
   }
-  return *it->second;
+  return *leveler;
 }
 
 u64 WearLevelTranslator::translate(u64 line_addr) {
   NVMENC_DCHECK(channel_of_line(org_, line_addr) == channel_,
                 "translating a line homed on another channel");
-  const u64 index = channel_local_line_index(org_, line_addr);
-  const u64 region_id = index / config_.wl_region_lines;
-  const u64 inner = index % config_.wl_region_lines;
+  const auto [region_id, inner] =
+      split(channel_local_line_index(org_, line_addr));
   const usize slot = region(region_id).map(inner * kLineBytes);
   // Regions stride by region_lines + 1 physical slots: Start-Gap's spare
   // slot gets its own address, keeping the global map injective.
@@ -230,9 +233,8 @@ u64 WearLevelTranslator::translate(u64 line_addr) {
 
 const std::vector<u64>& WearLevelTranslator::on_write(u64 line_addr) {
   dests_.clear();
-  const u64 index = channel_local_line_index(org_, line_addr);
-  const u64 region_id = index / config_.wl_region_lines;
-  const u64 inner = index % config_.wl_region_lines;
+  const auto [region_id, inner] =
+      split(channel_local_line_index(org_, line_addr));
   WearLeveler& leveler = region(region_id);
   leveler.on_write(inner * kLineBytes,
                    static_cast<usize>(config_.wear_per_write_flips));
@@ -252,13 +254,14 @@ double WearLevelTranslator::uniformity() const {
   u64 sum = 0;
   u64 max = 0;
   usize slots = 0;
-  for (const auto& [id, leveler] : regions_) {
+  // An order-free sum and max: the table's iteration order cannot leak.
+  regions_.for_each([&](u64, const std::unique_ptr<WearLeveler>& leveler) {
     for (const u64 w : leveler->physical_wear()) {
       sum += w;
       max = std::max(max, w);
       ++slots;
     }
-  }
+  });
   if (max == 0 || slots == 0) return 0.0;
   return static_cast<double>(sum) / static_cast<double>(slots) /
          static_cast<double>(max);

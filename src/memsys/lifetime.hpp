@@ -30,11 +30,13 @@
 //     charged to bank time, the energy ledger, and endurance.
 #pragma once
 
+#include <bit>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/flat_set.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "nvm/timing.hpp"
@@ -171,11 +173,13 @@ class LifetimeEngine {
     u32 reads = 0;   ///< drift draw key (low half)
   };
 
+  /// State of `line`, sampled on first touch. The reference is valid only
+  /// until the next touch of a new line (lines_ may rehash).
   LineLife& touch(u64 line);
 
   LifetimeConfig config_;
   usize channel_;
-  std::unordered_map<u64, LineLife> lines_;
+  FlatMapU64<LineLife> lines_;
   LifetimeStats stats_;
 };
 
@@ -184,6 +188,14 @@ class LifetimeEngine {
 /// within-row line offset kept. Inverse of channel_local_line_addr.
 [[nodiscard]] inline u64 channel_local_line_index(const MemOrg& org,
                                                   u64 line_addr) noexcept {
+  if (pow2_interleave(org)) {
+    const int row_shift = std::countr_zero(org.row_bytes);
+    const int line_shift = std::countr_zero(kLineBytes);
+    const u64 row_id = line_addr >> row_shift;
+    return ((row_id >> std::countr_zero(org.channels))
+            << (row_shift - line_shift)) +
+           ((line_addr & (org.row_bytes - 1)) >> line_shift);
+  }
   const u64 lines_per_row = org.row_bytes / kLineBytes;
   const u64 row_id = line_addr / org.row_bytes;
   return (row_id / org.channels) * lines_per_row +
@@ -194,6 +206,15 @@ class LifetimeEngine {
 [[nodiscard]] inline u64 channel_local_line_addr(const MemOrg& org,
                                                  usize channel,
                                                  u64 index) noexcept {
+  if (pow2_interleave(org)) {
+    const int row_shift = std::countr_zero(org.row_bytes);
+    const int line_shift = std::countr_zero(kLineBytes);
+    const int lines_shift = row_shift - line_shift;
+    const u64 row_id =
+        ((index >> lines_shift) << std::countr_zero(org.channels)) + channel;
+    return (row_id << row_shift) +
+           ((index & ((u64{1} << lines_shift) - 1)) << line_shift);
+  }
   const u64 lines_per_row = org.row_bytes / kLineBytes;
   const u64 row_id = (index / lines_per_row) * org.channels + channel;
   return row_id * org.row_bytes + (index % lines_per_row) * kLineBytes;
@@ -230,11 +251,24 @@ class WearLevelTranslator {
 
  private:
   WearLeveler& region(u64 region_id);
+  /// Splits a channel-local line index into (region id, index within it).
+  [[nodiscard]] std::pair<u64, u64> split(u64 index) const noexcept {
+    if (region_shift_ >= 0) {
+      return {index >> region_shift_,
+              index & (config_.wl_region_lines - 1)};
+    }
+    return {index / config_.wl_region_lines,
+            index % config_.wl_region_lines};
+  }
 
   LifetimeConfig config_;
   MemOrg org_;
   usize channel_;
-  std::unordered_map<u64, std::unique_ptr<WearLeveler>> regions_;
+  /// log2(wl_region_lines) when it is a power of two, else -1.
+  int region_shift_ = -1;
+  /// Regions by id. The levelers sit behind unique_ptr, so a reference
+  /// from region() survives later inserts.
+  FlatMapU64<std::unique_ptr<WearLeveler>> regions_;
   std::vector<usize> slots_;  ///< migration-slot scratch
   std::vector<u64> dests_;    ///< migration-address scratch
   u64 demand_writes_ = 0;

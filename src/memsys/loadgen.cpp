@@ -4,10 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/flat_set.hpp"
 #include "runner/parallel_for.hpp"
 #include "runner/parallel_runner.hpp"
 #include "runner/thread_pool.hpp"
@@ -49,7 +49,10 @@ void LoadGenConfig::validate() const {
 }
 
 ZipfianSampler::ZipfianSampler(u64 n, double theta)
-    : n_{n}, theta_{theta}, alpha_{1.0 / (1.0 - theta)} {
+    : n_{n},
+      theta_{theta},
+      alpha_{1.0 / (1.0 - theta)},
+      rank1_bound_{1.0 + std::pow(0.5, theta)} {
   require(n >= 2, "zipfian needs at least two items");
   require(theta > 0.0 && theta < 1.0, "zipf theta must be in (0, 1)");
   double zetan = 0.0;
@@ -66,7 +69,7 @@ u64 ZipfianSampler::sample(Xoshiro256& rng) const noexcept {
   const double u = rng.next_double();
   const double uz = u * zetan_;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+  if (uz < rank1_bound_) return 1;
   const u64 rank = static_cast<u64>(
       static_cast<double>(n_) *
       std::pow(eta_ * u - eta_ + 1.0, alpha_));
@@ -136,16 +139,17 @@ LoadResult run_load(const LoadGenConfig& load, const MemSysConfig& mem) {
       arrivals;
   for (usize u = 0; u < load.users; ++u) arrivals.push({think(u), u});
 
-  std::unordered_map<u64, usize> inflight;  // ticket -> user
+  // Ticket -> user. Each user has at most one request in flight, so the
+  // table is sized once and never allocates again.
+  FlatMapU64<usize> inflight{load.users};
   u64 issued = 0;
   while (issued < load.requests || !inflight.empty()) {
     const double next_arrival = arrivals.empty() ? kInf : arrivals.top().time_ns;
     // Deliver every completion due before the next arrival; each unblocks
     // its user, whose next arrival may in turn precede the current top.
     if (const auto comp = sys.step_until(next_arrival)) {
-      const auto it = inflight.find(comp->ticket);
-      const usize u = it->second;
-      inflight.erase(it);
+      const usize u = *inflight.find(comp->ticket);
+      inflight.erase(comp->ticket);
       arrivals.push({comp->time_ns + think(u), u});
       continue;
     }
@@ -168,8 +172,7 @@ LoadResult run_load(const LoadGenConfig& load, const MemSysConfig& mem) {
       remapped = routed != addr;
       addr = routed;
     }
-    inflight.emplace(sys.submit(addr, kind, arr.time_ns, remapped),
-                     arr.user);
+    inflight[sys.submit(addr, kind, arr.time_ns, remapped)] = arr.user;
     ++issued;
   }
 
@@ -223,7 +226,7 @@ LoadResult run_load_sharded(const LoadGenConfig& load,
 
     std::priority_queue<UserArrival, std::vector<UserArrival>, LaterArrival>
         arrivals;
-    std::unordered_map<u64, usize> inflight;  // ticket -> user
+    FlatMapU64<usize> inflight{load.users};  // ticket -> user, fixed size
     std::vector<u64> issued(load.users, 0);   // only this shard's slots used
     for (usize u = c; u < load.users; u += nch) {
       if (quota[u] > 0) arrivals.push({think(u), u});
@@ -232,9 +235,8 @@ LoadResult run_load_sharded(const LoadGenConfig& load,
       const double next_arrival =
           arrivals.empty() ? kInf : arrivals.top().time_ns;
       if (const auto comp = shard.step_until(next_arrival)) {
-        const auto it = inflight.find(comp->ticket);
-        const usize u = it->second;
-        inflight.erase(it);
+        const usize u = *inflight.find(comp->ticket);
+        inflight.erase(comp->ticket);
         if (issued[u] < quota[u]) {
           arrivals.push({comp->time_ns + think(u), u});
         }
@@ -249,7 +251,7 @@ LoadResult run_load_sharded(const LoadGenConfig& load,
       const ReqKind kind = rngs[u].next_bool(load.read_fraction)
                                ? ReqKind::kRead
                                : ReqKind::kWrite;
-      inflight.emplace(shard.submit(addr, kind, arr.time_ns), u);
+      inflight[shard.submit(addr, kind, arr.time_ns)] = u;
       ++issued[u];
     }
     (void)shard.drain_all();

@@ -58,6 +58,7 @@ class ZipfianSampler {
   double alpha_;
   double zetan_;
   double eta_;
+  double rank1_bound_;  ///< 1 + 0.5^theta: u * zeta(n) below it draws rank 1
 };
 
 /// Address stream of one load pattern. Popular ranks are scrambled across

@@ -124,9 +124,11 @@ FaultDomain::FaultDomain(const RasConfig& config, usize channel)
 }
 
 FaultDomain::LineState& FaultDomain::touch(u64 line) {
-  auto [it, inserted] = lines_.try_emplace(line);
+  const auto [state, inserted] = lines_.try_emplace(line);
   if (inserted) touched_.push_back(line);
-  return it->second;
+  NVMENC_DCHECK(touched_.size() == lines_.size(),
+                "scrub list and line table disagree");
+  return *state;
 }
 
 void FaultDomain::log(double now_ns, RasEventKind kind, u64 line) {
@@ -341,8 +343,8 @@ std::optional<u64> FaultDomain::next_scrub_target() {
   for (usize scanned = 0; scanned < touched_.size(); ++scanned) {
     if (scrub_cursor_ >= touched_.size()) scrub_cursor_ = 0;
     const u64 line = touched_[scrub_cursor_++];
-    const auto it = lines_.find(line);
-    if (it != lines_.end() && !it->second.retired) return line;
+    const LineState* st = lines_.find(line);
+    if (st != nullptr && !st->retired) return line;
   }
   return std::nullopt;
 }

@@ -25,9 +25,9 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_set.hpp"
 #include "common/types.hpp"
 #include "fault/fault_injector.hpp"
 #include "memsys/lifetime.hpp"
@@ -260,6 +260,8 @@ class FaultDomain {
     bool retired = false;
   };
 
+  /// State of `line`, created on first touch. The reference is valid
+  /// only until the next touch of a new line (lines_ may rehash).
   LineState& touch(u64 line);
   /// Idempotent: a line that is already retired consumes nothing, so a
   /// demand-write failure and a scrub UE on the same line in the same
@@ -275,7 +277,7 @@ class FaultDomain {
   usize channel_;
   FaultInjector injector_;  ///< the seeded draw cascade (and its config)
   std::optional<LifetimeEngine> life_;  ///< aging (lifetime.enabled() only)
-  std::unordered_map<u64, LineState> lines_;
+  FlatMapU64<LineState> lines_;
   std::vector<u64> touched_;  ///< first-touch order: the scrub scan list
   usize scrub_cursor_ = 0;
   double remap_depth_ = 0.0;    ///< remapping-queue fill (drains linearly)

@@ -7,6 +7,12 @@ namespace nvmenc {
 MemoryTimingModel::MemoryTimingModel(MemOrg org) : org_{org} {
   org_.validate();
   banks_per_channel_ = org_.ranks * org_.banks;
+  pow2_decode_ = pow2_interleave(org_) && is_pow2(banks_per_channel_);
+  if (pow2_decode_) {
+    row_shift_ = std::countr_zero(org_.row_bytes);
+    channel_shift_ = std::countr_zero(org_.channels);
+    bank_shift_ = std::countr_zero(banks_per_channel_);
+  }
   banks_.resize(org_.channels * banks_per_channel_);
   bus_free_at_.resize(org_.channels, 0.0);
 }
@@ -20,16 +26,6 @@ void TimingStats::merge(const TimingStats& other) noexcept {
   write_latency_ns.merge(other.write_latency_ns);
   read_latency_hist.merge(other.read_latency_hist);
   write_latency_hist.merge(other.write_latency_hist);
-}
-
-BankAddress MemoryTimingModel::decompose(u64 line_addr) const noexcept {
-  const u64 row_id = line_addr / org_.row_bytes;
-  BankAddress addr;
-  addr.channel = channel_of_line(org_, line_addr);
-  const u64 above_channel = row_id / org_.channels;
-  addr.bank = static_cast<usize>(above_channel % banks_per_channel_);
-  addr.row = above_channel / banks_per_channel_;
-  return addr;
 }
 
 double MemoryTimingModel::access(const BankAddress& where, MemOp op,

@@ -13,8 +13,10 @@
 // locality, which is what the encode-latency question touches.
 #pragma once
 
+#include <bit>
 #include <vector>
 
+#include "common/bitops.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -49,11 +51,23 @@ struct BankAddress {
   u64 row = 0;
 };
 
+/// True when row_bytes and channels are powers of two: the row/channel
+/// interleave then decodes with shifts and masks instead of divisions.
+/// Other geometries keep the generic division; both forms give the same
+/// result on every address, aligned or not (tested).
+[[nodiscard]] inline bool pow2_interleave(const MemOrg& org) noexcept {
+  return is_pow2(org.row_bytes) && is_pow2(org.channels);
+}
+
 /// Channel a line maps to — the first step of decompose(), exposed
 /// separately so sharded drivers can route requests without a timing
 /// model. Must agree with MemoryTimingModel::decompose (tested).
 [[nodiscard]] inline usize channel_of_line(const MemOrg& org,
                                            u64 line_addr) noexcept {
+  if (pow2_interleave(org)) {
+    const u64 row_id = line_addr >> std::countr_zero(org.row_bytes);
+    return static_cast<usize>(row_id & (org.channels - 1));
+  }
   return static_cast<usize>((line_addr / org.row_bytes) % org.channels);
 }
 
@@ -64,6 +78,12 @@ struct BankAddress {
 /// redirect traffic off degraded channels (ras_remap_line).
 [[nodiscard]] inline u64 pin_line_to_channel(const MemOrg& org, u64 addr,
                                              usize channel) noexcept {
+  if (pow2_interleave(org)) {
+    const int row_shift = std::countr_zero(org.row_bytes);
+    const u64 pinned_row =
+        ((addr >> row_shift) & ~static_cast<u64>(org.channels - 1)) + channel;
+    return (pinned_row << row_shift) + (addr & (org.row_bytes - 1));
+  }
   const u64 row_id = addr / org.row_bytes;
   const u64 pinned_row = (row_id / org.channels) * org.channels + channel;
   return pinned_row * org.row_bytes + addr % org.row_bytes;
@@ -103,7 +123,26 @@ class MemoryTimingModel {
 
   /// Line address -> bank/row decomposition. Consecutive lines fill a row,
   /// rows interleave across banks then channels (row-interleaved mapping).
-  [[nodiscard]] BankAddress decompose(u64 line_addr) const noexcept;
+  /// Shifts and masks when row_bytes, channels and ranks * banks are all
+  /// powers of two; divisions otherwise.
+  [[nodiscard]] BankAddress decompose(u64 line_addr) const noexcept {
+    BankAddress addr;
+    if (pow2_decode_) {
+      const u64 row_id = line_addr >> row_shift_;
+      addr.channel = static_cast<usize>(row_id & (org_.channels - 1));
+      const u64 above_channel = row_id >> channel_shift_;
+      addr.bank =
+          static_cast<usize>(above_channel & (banks_per_channel_ - 1));
+      addr.row = above_channel >> bank_shift_;
+      return addr;
+    }
+    const u64 row_id = line_addr / org_.row_bytes;
+    addr.channel = static_cast<usize>(row_id % org_.channels);
+    const u64 above_channel = row_id / org_.channels;
+    addr.bank = static_cast<usize>(above_channel % banks_per_channel_);
+    addr.row = above_channel / banks_per_channel_;
+    return addr;
+  }
 
   /// Services one request arriving at `arrival_ns`; returns its completion
   /// time. Reads are prioritized only in the sense that the caller issues
@@ -158,6 +197,10 @@ class MemoryTimingModel {
 
   MemOrg org_;
   usize banks_per_channel_ = 0;     // ranks * banks
+  bool pow2_decode_ = false;        // decompose() by shifts and masks
+  int row_shift_ = 0;               // log2 row_bytes
+  int channel_shift_ = 0;           // log2 channels
+  int bank_shift_ = 0;              // log2 banks_per_channel_
   std::vector<BankState> banks_;    // channel-major
   std::vector<double> bus_free_at_; // per channel
   TimingStats stats_;

@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "common/alloc_hook.hpp"
+#include "common/flat_set.hpp"
+#include "common/rng.hpp"
 #include "memsys/memory_system.hpp"
 #include "trace/synthetic.hpp"
 
@@ -71,8 +73,9 @@ void pump(MemorySystem& sys, const std::vector<MemAccess>& stream,
 
 /// Closed loop mirroring run_load's per-request work (poll_ras,
 /// route_for_degradation, submit, step_until) with kUsers users, one
-/// request in flight each, on fixed-size tables so the harness itself
-/// never allocates.
+/// request in flight each. Like run_load it keeps ticket -> user in a
+/// FlatMapU64 sized once to the user count, so the harness itself never
+/// allocates after construction.
 class ClosedLoop {
  public:
   void run(MemorySystem& sys, const std::vector<MemAccess>& stream,
@@ -84,21 +87,18 @@ class ClosedLoop {
         if (ready_at_[u] < ready_at_[user]) user = u;
       }
       if (const auto comp = sys.step_until(ready_at_[user])) {
-        for (usize u = 0; u < kUsers; ++u) {
-          if (ready_at_[u] == kInf && ticket_[u] == comp->ticket) {
-            ready_at_[u] = comp->time_ns + kThinkNs;
-            break;
-          }
-        }
+        const usize u = *inflight_.find(comp->ticket);
+        inflight_.erase(comp->ticket);
+        ready_at_[u] = comp->time_ns + kThinkNs;
         continue;
       }
       const double now = ready_at_[user];
       const MemAccess& a = stream[index_++ % stream.size()];
       sys.poll_ras(now);
       const u64 addr = sys.route_for_degradation(a.line_addr());
-      ticket_[user] = sys.submit(
+      inflight_[sys.submit(
           addr, a.op == Op::kRead ? ReqKind::kRead : ReqKind::kWrite, now,
-          addr != a.line_addr());
+          addr != a.line_addr())] = user;
       ready_at_[user] = kInf;
       ++issued;
     }
@@ -107,7 +107,7 @@ class ClosedLoop {
  private:
   static constexpr usize kUsers = 16;
   static constexpr double kThinkNs = 40.0;
-  std::array<u64, kUsers> ticket_{};
+  FlatMapU64<usize> inflight_{kUsers};     ///< ticket -> user
   std::array<double, kUsers> ready_at_{};  ///< +inf while in flight
   u64 index_ = 0;
 };
@@ -198,6 +198,64 @@ TEST(AllocHotPathTest, ClosedLoopAroundKilledChannelNeverAllocates) {
 
   ASSERT_TRUE(sys.shard(1).ras_degraded());
   EXPECT_GT(sys.shard(0).ras()->stats().remapped_in, 10'000u);
+  (void)sys.drain_all();
+}
+
+TEST(AllocHotPathTest, WarmAgingClosedLoopNeverAllocates) {
+  // The full aging stack on every array operation: write faults, stuck
+  // cells, read disturbs and scrub (FaultDomain), endurance and retention
+  // drift (LifetimeEngine) and Start-Gap (WearLevelTranslator). The
+  // footprint is 8 whole rows, 4 per channel, so both channels see the
+  // same 256 channel-local lines, and re-routing off a degraded channel
+  // lands on lines the survivor already knows. The warm-up runs every
+  // region's gap through its spare slot, so each table has met every
+  // physical line (4 regions of 64 + 1) before the counter is armed.
+  MemSysConfig mem = hot_config();
+  mem.ras.inject.seed = 11;
+  mem.ras.inject.write_fail_rate = 1e-3;
+  mem.ras.inject.read_disturb_rate = 1e-4;
+  mem.ras.inject.stuck_rate = 1e-4;
+  mem.ras.scrub_interval_ns = 2'000.0;
+  mem.ras.lifetime.endurance_mean_flips = 4e5;
+  mem.ras.lifetime.retention_tau_ns = 1e7;
+  mem.ras.lifetime.leveler = WearLevelerKind::kStartGap;
+  mem.ras.lifetime.wl_region_lines = 64;
+  mem.ras.lifetime.wl_interval = 8;
+  MemorySystem sys{mem};
+
+  constexpr u64 kFootprintLines = 2 * 4 * 4096 / kLineBytes;
+  std::vector<MemAccess> stream;
+  Xoshiro256 rng{3};
+  for (usize i = 0; i < 16'384; ++i) {
+    stream.push_back({rng.next_below(kFootprintLines) * kLineBytes,
+                      rng.next_bool(0.5) ? Op::kRead : Op::kWrite, 0});
+  }
+  ClosedLoop loop;
+  loop.run(sys, stream, 24'000);
+  std::array<usize, 2> touched{};
+  for (usize c = 0; c < touched.size(); ++c) {
+    touched[c] = sys.shard(c).ras()->lines_touched();
+  }
+  const LifetimeStats warm = sys.shard(0).lifetime_stats();
+
+  alloc_hook_arm(true);
+  const u64 before = alloc_hook_count();
+  loop.run(sys, stream, 24'000);
+  const u64 after = alloc_hook_count();
+  alloc_hook_arm(false);
+  EXPECT_EQ(after - before, 0u)
+      << "the RAS, lifetime and wear-leveling hooks heap-allocated once warm";
+
+  // Every hook did work inside the armed window, on the warm line set.
+  const LifetimeStats armed = sys.shard(0).lifetime_stats();
+  EXPECT_GT(armed.wl_moves, warm.wl_moves);
+  EXPECT_GT(armed.wear_writes, warm.wear_writes);
+  EXPECT_EQ(armed.lines_tracked, 4u * 65u);
+  for (usize c = 0; c < touched.size(); ++c) {
+    EXPECT_EQ(touched[c], 4u * 65u) << "channel " << c;
+    EXPECT_EQ(sys.shard(c).ras()->lines_touched(), touched[c]);
+    EXPECT_GT(sys.shard(c).ras()->stats().scrub_reads, 0u);
+  }
   (void)sys.drain_all();
 }
 

@@ -1,8 +1,10 @@
-// RingBuffer and FlatSetU64 back the zero-allocation hot path of the
-// channel shards; these tests pin their FIFO/set semantics against the
-// std containers they replaced, including the regrowth and backward-shift
-// deletion corners that plain usage rarely exercises.
+// RingBuffer, FlatSetU64 and FlatMapU64 back the zero-allocation hot path
+// of the channel shards and their RAS, lifetime and wear-leveling state;
+// these tests pin their FIFO/set/map semantics against the std containers
+// they replaced, including the regrowth and backward-shift deletion
+// corners that plain usage rarely exercises.
 #include <deque>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -150,4 +152,102 @@ TEST(FlatSetTest, ClearEmptiesWithoutShrinking) {
   EXPECT_TRUE(set.empty());
   for (u64 k = 0; k < 16; ++k) EXPECT_FALSE(set.contains(k * 13));
   for (u64 k = 0; k < 16; ++k) EXPECT_TRUE(set.insert(k * 17));
+}
+
+/// Keys whose SplitMix64 mix (the table's slot hash) agrees in its low 12
+/// bits: they share one home slot in every table of up to 4096 slots, so
+/// they build a single long probe cluster that wraps the table's end.
+std::vector<u64> colliding_keys(usize count) {
+  std::vector<u64> keys;
+  for (u64 k = 1; keys.size() < count; ++k) {
+    SplitMix64 mix{k};  // next() mixes k + the golden-ratio increment
+    if ((mix.next() & 0xfff) == 0xffe) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(FlatMapTest, MatchesUnorderedMapUnderRandomChurn) {
+  // Keys drawn from five families: a small dense range (frequent hits),
+  // the extremes 0 and ~0 (~0 is the free-slot key, kept beside the
+  // table), line-address-like keys that share their low 20 bits, keys
+  // that collide in the mixed slot hash, and full-range random keys. The table starts empty and
+  // doubles several times on the way to about 3000 entries, then churns.
+  const std::vector<u64> collide = colliding_keys(48);
+  Xoshiro256 rng{2024};
+  const auto draw_key = [&]() -> u64 {
+    switch (rng.next_below(5)) {
+      case 0:
+        return rng.next_below(4000);
+      case 1:
+        return rng.next_bool(0.5) ? 0 : ~u64{0};
+      case 2:
+        return rng.next_below(4000) << 20;
+      case 3:
+        return collide[rng.next_below(collide.size())];
+      default:
+        return rng.next();
+    }
+  };
+  FlatMapU64<u64> map;
+  std::unordered_map<u64, u64> model;
+  usize most_slots = 0;
+  for (int step = 0; step < 60'000; ++step) {
+    const u64 key = draw_key();
+    // Insert-heavy first, then balanced churn around a steady size.
+    const u64 insert_weight = step < 20'000 ? 6 : 3;
+    const u64 op = rng.next_below(insert_weight + 4);
+    if (op < insert_weight) {
+      const u64 value = rng.next();
+      const auto [slot, inserted] = map.try_emplace(key);
+      const auto [it, model_inserted] = model.try_emplace(key, 0);
+      ASSERT_EQ(inserted, model_inserted) << "key " << key;
+      ASSERT_EQ(*slot, it->second) << "key " << key;
+      *slot = value;
+      it->second = value;
+    } else if (op < insert_weight + 2) {
+      ASSERT_EQ(map.erase(key), model.erase(key) > 0) << "key " << key;
+    } else {
+      const u64* found = map.find(key);
+      const auto it = model.find(key);
+      ASSERT_EQ(found != nullptr, it != model.end()) << "key " << key;
+      if (found != nullptr) {
+        ASSERT_EQ(*found, it->second) << "key " << key;
+      }
+    }
+    ASSERT_EQ(map.size(), model.size());
+    ASSERT_LE(map.size() * 4, map.slot_count() * 3) << "load above 3/4";
+    most_slots = std::max(most_slots, map.slot_count());
+  }
+  EXPECT_GE(most_slots, 4096u) << "the table never grew through doublings";
+
+  // Every surviving entry is found, and iteration visits exactly them.
+  usize visited = 0;
+  map.for_each([&](u64 key, const u64& value) {
+    const auto it = model.find(key);
+    ASSERT_NE(it, model.end()) << "key " << key;
+    EXPECT_EQ(value, it->second);
+    ++visited;
+  });
+  EXPECT_EQ(visited, model.size());
+  for (const auto& [key, value] : model) {
+    ASSERT_NE(map.find(key), nullptr) << "key " << key;
+    EXPECT_EQ(*map.find(key), value);
+  }
+  for (const u64 key : collide) {
+    EXPECT_EQ(map.contains(key), model.contains(key)) << "key " << key;
+  }
+
+  // clear() keeps the table, and the free-slot key behaves like any other.
+  const usize slots = map.slot_count();
+  map.clear();
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.slot_count(), slots);
+  EXPECT_FALSE(map.contains(0));
+  EXPECT_FALSE(map.contains(~u64{0}));
+  map[~u64{0}] = 7;
+  EXPECT_EQ(map.size(), 1u);
+  EXPECT_EQ(*map.find(~u64{0}), 7u);
+  EXPECT_TRUE(map.erase(~u64{0}));
+  EXPECT_FALSE(map.erase(~u64{0}));
+  EXPECT_TRUE(map.empty());
 }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.hpp"
+#include "memsys/lifetime.hpp"
+
 namespace nvmenc {
 namespace {
 
@@ -134,6 +139,88 @@ TEST(Timing, DecomposeRoundTripsAcrossChannels) {
     EXPECT_EQ(rebuilt, row_id);
     // Lines within one row land on the same bank.
     EXPECT_EQ(model.decompose(addr + kLineBytes - 1).bank, where.bank);
+  }
+}
+
+// The division forms of the address decode, as every geometry computed it
+// before the shift/mask fast path; the fast path must reproduce them on
+// every address, line-aligned or not.
+usize div_channel_of_line(const MemOrg& org, u64 addr) {
+  return static_cast<usize>((addr / org.row_bytes) % org.channels);
+}
+u64 div_pin_line_to_channel(const MemOrg& org, u64 addr, usize channel) {
+  const u64 row_id = addr / org.row_bytes;
+  return ((row_id / org.channels) * org.channels + channel) * org.row_bytes +
+         addr % org.row_bytes;
+}
+BankAddress div_decompose(const MemOrg& org, u64 addr) {
+  const u64 banks = org.ranks * org.banks;
+  const u64 above_channel = addr / org.row_bytes / org.channels;
+  return {div_channel_of_line(org, addr),
+          static_cast<usize>(above_channel % banks), above_channel / banks};
+}
+u64 div_local_line_index(const MemOrg& org, u64 addr) {
+  const u64 lines_per_row = org.row_bytes / kLineBytes;
+  return (addr / org.row_bytes / org.channels) * lines_per_row +
+         (addr % org.row_bytes) / kLineBytes;
+}
+u64 div_local_line_addr(const MemOrg& org, usize channel, u64 index) {
+  const u64 lines_per_row = org.row_bytes / kLineBytes;
+  return ((index / lines_per_row) * org.channels + channel) * org.row_bytes +
+         (index % lines_per_row) * kLineBytes;
+}
+
+TEST(Timing, ShiftMaskDecodeMatchesDivision) {
+  struct Geometry {
+    usize channels, ranks, banks, row_bytes;
+    bool pow2;  ///< row_bytes and channels are powers of two
+  };
+  const std::vector<Geometry> geometries = {
+      {1, 1, 8, 4096, true},  {4, 1, 8, 4096, true},  {2, 2, 4, 8192, true},
+      {8, 1, 1, 64, true},    {4, 3, 8, 4096, true},  // 24 banks: division
+      {3, 2, 4, 4096, false}, {4, 1, 8, 192, false},  {6, 1, 5, 320, false},
+      {1, 1, 3, 4032, false},
+  };
+  Xoshiro256 rng{17};
+  for (const Geometry& g : geometries) {
+    MemOrg org;
+    org.channels = g.channels;
+    org.ranks = g.ranks;
+    org.banks = g.banks;
+    org.row_bytes = g.row_bytes;
+    ASSERT_EQ(pow2_interleave(org), g.pow2);
+    const MemoryTimingModel model{org};
+    // Line-aligned and unaligned byte addresses (run_load submits
+    // unaligned ones), row edges, and the whole u64 range.
+    std::vector<u64> addrs = {0, 1, 63, 64, g.row_bytes - 1, g.row_bytes,
+                              g.row_bytes * g.channels + 5, ~u64{0},
+                              ~u64{0} - g.row_bytes};
+    for (int i = 0; i < 3000; ++i) {
+      addrs.push_back(rng.next_below(1u << 20));
+      addrs.push_back(rng.next_below(1u << 20) * kLineBytes);
+      addrs.push_back(rng.next());
+    }
+    for (const u64 addr : addrs) {
+      const BankAddress fast = model.decompose(addr);
+      const BankAddress slow = div_decompose(org, addr);
+      ASSERT_EQ(channel_of_line(org, addr), div_channel_of_line(org, addr))
+          << "addr " << addr << " row_bytes " << g.row_bytes;
+      ASSERT_EQ(fast.channel, slow.channel) << "addr " << addr;
+      ASSERT_EQ(fast.bank, slow.bank) << "addr " << addr;
+      ASSERT_EQ(fast.row, slow.row) << "addr " << addr;
+      ASSERT_EQ(channel_local_line_index(org, addr),
+                div_local_line_index(org, addr))
+          << "addr " << addr;
+      for (usize c = 0; c < g.channels; ++c) {
+        ASSERT_EQ(pin_line_to_channel(org, addr, c),
+                  div_pin_line_to_channel(org, addr, c))
+            << "addr " << addr << " channel " << c;
+        // The same values read as channel-local indices, wrapping included.
+        ASSERT_EQ(channel_local_line_addr(org, c, addr),
+                  div_local_line_addr(org, c, addr))
+            << "index " << addr << " channel " << c;
+      }
+    }
   }
 }
 
